@@ -50,10 +50,12 @@ struct ApFallbackConfig {
   /// fidelity path; a later stage skips the more expensive ones entirely
   /// — this is how the overload ladder (core/overload.hpp) sheds compute:
   /// a degraded round enters at the rung it is entitled to instead of
-  /// running the full estimator and discarding it. The entry stage is
-  /// always attempted even when `enabled` is false (entering the chain
-  /// at a stage is a request to run that stage, not a request for its
-  /// fallbacks). Must not be kFailed.
+  /// running the full estimator and discarding it. In a server config
+  /// this is the configured rung; a shed round enters at the later of it
+  /// and the rung's stage (SpotFiServer::try_localize_forked). The entry
+  /// stage is always attempted even when `enabled` is false (entering
+  /// the chain at a stage is a request to run that stage, not a request
+  /// for its fallbacks). Must not be kFailed.
   ApStage entry_stage = ApStage::kPrimary;
 };
 

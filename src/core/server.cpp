@@ -90,11 +90,13 @@ Expected<LocalizationRound, RoundError> SpotFiServer::try_localize(
   for (std::size_t i = 0; i < captures.size(); ++i) {
     streams.push_back(rng.fork());
   }
-  return try_localize_forked(captures, streams);
+  return try_localize_forked(captures, streams,
+                             config_.ap.fallback.entry_stage);
 }
 
 Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
-    std::span<const ApCapture> captures, std::span<Rng> streams) const {
+    std::span<const ApCapture> captures, std::span<Rng> streams,
+    ApStage entry) const {
   SPOTFI_EXPECTS(streams.size() == captures.size() && captures.size() >= 2,
                  "try_localize_forked needs one forked stream per capture");
 
@@ -103,7 +105,8 @@ Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
   // its ApOutcome (process_robust collects into a detached scope), and
   // are merged into the round scope below in capture order.
   const std::size_t n = captures.size();
-  const ApProcessorConfig ap_cfg = ap_config();
+  ApProcessorConfig ap_cfg = ap_config();
+  ap_cfg.fallback.entry_stage = entry;
   std::vector<ApOutcome> outcomes(n);
   for_each_ap(n, [&](std::size_t i) {
     if (captures[i].packets.empty()) return;  // folded below

@@ -67,10 +67,10 @@ struct ServerConfig {
   std::size_t num_threads = 0;
   /// When set, the server uses this pool instead of constructing its own
   /// and `num_threads` is ignored. The multi-tenant session layer hands
-  /// every session (and every per-fidelity server variant) one shared
-  /// pool so N sessions contend for one set of workers instead of
-  /// spawning N of them. Determinism is unaffected — results are slotted
-  /// by index regardless of which pool ran them.
+  /// every session's server one shared pool so N sessions contend for
+  /// one set of workers instead of spawning N of them. Determinism is
+  /// unaffected — results are slotted by index regardless of which pool
+  /// ran them.
   std::shared_ptr<ThreadPool> shared_pool;
 };
 
@@ -104,7 +104,8 @@ struct LocalizationRound {
   std::size_t workspace_peak_bytes = 0;
   /// The fidelity this round ran at. kFull outside the session layer;
   /// a shed-degraded round records the ladder rung that produced it
-  /// (every AP entered the fallback chain at that rung's stage).
+  /// (every AP entered the fallback chain at that rung's stage, or at
+  /// the configured entry stage when that one is later).
   ShedLevel fidelity = ShedLevel::kFull;
   /// Per-stage cost split of the round (try_localize only): every AP's
   /// ApOutcome::stage_breakdown folded in capture order (times sum;
@@ -132,9 +133,10 @@ class SpotFiServer {
       std::span<const ApCapture> captures, Rng& rng) const;
 
   /// Fault-tolerant variant: every AP runs the process_robust fallback
-  /// chain, unusable APs are skipped, an outlier AP may be rejected by
-  /// leave-one-out residuals, and failure is reported as a RoundError
-  /// instead of an exception.
+  /// chain from the configured `ap.fallback.entry_stage`, unusable APs
+  /// are skipped, an outlier AP may be rejected by leave-one-out
+  /// residuals, and failure is reported as a RoundError instead of an
+  /// exception.
   [[nodiscard]] Expected<LocalizationRound, RoundError> try_localize(
       std::span<const ApCapture> captures, Rng& rng) const;
 
@@ -143,21 +145,19 @@ class SpotFiServer {
   /// session layer forks streams at round-preparation time (fixing the
   /// deterministic order) and executes rounds later — possibly
   /// concurrently with other sessions' rounds — with identical results.
+  /// `entry` is the fallback-chain stage every AP enters at this round
+  /// (it replaces `ap.fallback.entry_stage`): the overload ladder picks
+  /// it per round, so one server serves every fidelity rung.
   /// Requires streams.size() == captures.size() >= 2.
   [[nodiscard]] Expected<LocalizationRound, RoundError> try_localize_forked(
-      std::span<const ApCapture> captures, std::span<Rng> streams) const;
+      std::span<const ApCapture> captures, std::span<Rng> streams,
+      ApStage entry) const;
 
   [[nodiscard]] const ServerConfig& config() const { return config_; }
   [[nodiscard]] const LinkConfig& link() const { return link_; }
   /// Lanes of concurrency this server actually runs with (after the
   /// SPOTFI_THREADS override and hardware-concurrency resolution).
   [[nodiscard]] std::size_t num_threads() const;
-  /// The pool this server dispatches on (null = serial). Lets the
-  /// session layer derive per-fidelity server variants that share one
-  /// pool: `cfg.shared_pool = base.shared_pool()`.
-  [[nodiscard]] std::shared_ptr<ThreadPool> shared_pool() const {
-    return pool_;
-  }
 
  private:
   /// Runs `task(i)` for every capture index, across the pool when one

@@ -11,12 +11,12 @@
 //        ...                        ...                   N sessions)
 //
 // Each session owns: its ID, a StreamingLocalizer (per-AP buffers,
-// ApHealthState machines, and the per-fidelity server variants with
-// their steering caches), a bounded lock-free SPSC ingest queue, a
-// forked Rng stream, and an overload controller (OverloadPolicy +
-// RoundCostModel). The ThreadPool — and with it the per-worker arena
-// lanes — is shared across every session: N tenants contend for one
-// set of workers instead of spawning N pools.
+// ApHealthState machines, and one SpotFiServer that runs every round at
+// the fidelity rung the round was planned at), a bounded lock-free SPSC
+// ingest queue, a forked Rng stream, and an overload controller
+// (OverloadPolicy + RoundCostModel). The ThreadPool — and with it the
+// per-worker arena lanes — is shared across every session: N tenants
+// contend for one set of workers instead of spawning N pools.
 //
 // Backpressure is explicit at both ends:
 //  * offer() grades every packet with an AdmissionVerdict. A full queue
@@ -26,6 +26,11 @@
 //    the wall-clock deadline budget: rounds run at the fidelity rung the
 //    backlog permits, and a round that cannot meet its deadline even at
 //    RSSI-only fidelity is dropped up front, never run late.
+//
+// Every round, however it fires (pump, poll, pump_all, recovery
+// replay), takes one path: prepare (plan, shed and deadline-limited
+// accounting) -> execute (the timed part) -> complete (cost model,
+// fidelity, deadline-miss and failure counters, durable fix ordinal).
 //
 // Threading contract: offer() for one session from exactly one producer
 // thread at a time, pump() for one session from exactly one consumer
@@ -179,7 +184,8 @@ class SessionManager {
   [[nodiscard]] std::vector<LocationFix> pump(SessionId id);
 
   /// Advances one session's stream time without a packet (timer tick):
-  /// deadline rounds for stalled tenants. Returns the fix if one fired.
+  /// deadline rounds for stalled tenants, planned and accounted exactly
+  /// like pump()'s rounds. Returns the fix if one fired.
   [[nodiscard]] std::optional<LocationFix> poll(SessionId id, double now_s);
 
   /// Drains every live session (in id order) through the cross-session

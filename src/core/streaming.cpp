@@ -17,32 +17,16 @@ const char* to_string(ApHealth health) {
 
 StreamingLocalizer::StreamingLocalizer(LinkConfig link,
                                        StreamingConfig config)
-    : link_(link), config_(std::move(config)), tracker_(config_.tracker) {
+    : link_(link),
+      config_(std::move(config)),
+      server_(link_, config_.server),
+      tracker_(config_.tracker) {
   SPOTFI_EXPECTS(config_.group_size >= 1, "group_size must be positive");
   const DegradationConfig& d = config_.degradation;
   SPOTFI_EXPECTS(d.min_quorum >= 2, "min_quorum must be at least 2");
   SPOTFI_EXPECTS(d.round_deadline_s >= 0.0, "round_deadline_s must be >= 0");
   SPOTFI_EXPECTS(d.dead_after_s >= d.degraded_after_s,
                  "dead_after_s must be >= degraded_after_s");
-  // The full-fidelity server (and its pool, when concurrency resolves
-  // past 1) is built once here, not per round: rounds reuse it, and the
-  // degraded variants derive from it on first use.
-  servers_[0] = std::make_shared<const SpotFiServer>(link_, config_.server);
-}
-
-const SpotFiServer& StreamingLocalizer::server_for(ShedLevel level) {
-  auto& slot = servers_[static_cast<std::size_t>(level)];
-  if (!slot) {
-    ServerConfig cfg = config_.server;
-    cfg.shared_pool = servers_[0]->shared_pool();
-    // A serial base server stays serial in every variant — a null
-    // shared_pool would otherwise re-resolve SPOTFI_THREADS here and
-    // could spawn a pool the full-fidelity path never had.
-    if (!cfg.shared_pool) cfg.num_threads = 1;
-    cfg.ap.fallback.entry_stage = entry_stage_for(level);
-    slot = std::make_shared<const SpotFiServer>(link_, cfg);
-  }
-  return *slot;
 }
 
 std::size_t StreamingLocalizer::add_ap(const ArrayPose& pose) {
@@ -284,9 +268,10 @@ std::optional<PendingRound> StreamingLocalizer::prepare_round(
     pending.plan_reason = plan.reason;
   }
 
-  // Resolve (and lazily build) the fidelity variant now, on the owning
-  // thread: execution may happen concurrently with other rounds.
-  pending.server = &server_for(pending.level);
+  // Shedding only ever lowers fidelity: a rung entitles at most its own
+  // entry stage, never one above the session's configured entry.
+  pending.entry = std::max(config_.server.ap.fallback.entry_stage,
+                           entry_stage_for(pending.level));
 
   // Fork the per-capture streams in capture order, mirroring
   // try_localize exactly: a <2-capture round fails without consuming
@@ -306,7 +291,7 @@ void StreamingLocalizer::execute_round(PendingRound& round) const {
     return;
   }
   round.outcome.emplace(
-      round.server->try_localize_forked(round.captures, round.streams));
+      server_.try_localize_forked(round.captures, round.streams, round.entry));
 }
 
 std::optional<LocationFix> StreamingLocalizer::complete_round(

@@ -12,11 +12,9 @@
 // reported as recoverable diagnostics, never exceptions.
 #pragma once
 
-#include <array>
 #include <deque>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -149,7 +147,7 @@ using RoundPlanner = std::function<RoundPlan(std::size_t n_aps, double now_s)>;
 
 /// A localization round that has been *prepared* (captures popped,
 /// overload plan applied, per-AP Rng streams forked in capture order,
-/// server variant resolved) but not yet executed. Splitting the round
+/// entry stage resolved) but not yet executed. Splitting the round
 /// lifecycle into prepare -> execute -> complete is what enables
 /// cross-session batching: preparation and completion touch localizer
 /// state and must run on the owning thread, while execute_round() is
@@ -164,10 +162,11 @@ struct PendingRound {
   /// the inline path).
   std::vector<Rng> streams;
   std::vector<std::size_t> ap_ids;
-  /// The fidelity variant resolved at preparation time (lazy variant
-  /// construction is not thread-safe, execution may be concurrent).
-  const SpotFiServer* server = nullptr;
   ShedLevel level = ShedLevel::kFull;
+  /// Where every AP enters the fallback chain: the later (lower-
+  /// fidelity) of the configured entry stage and `level`'s rung, so
+  /// shedding never raises a session above its configured fidelity.
+  ApStage entry = ApStage::kPrimary;
   const char* plan_reason = "";
   bool deadline_round = false;
   double now_s = 0.0;
@@ -275,8 +274,8 @@ class StreamingLocalizer {
 
   /// Snapshot/restore of the full dynamic state (durability). Restore
   /// requires the same AP registrations (count checked); the installed
-  /// planner and the cached server variants are configuration, not
-  /// state, and are untouched.
+  /// planner and the server are configuration, not state, and are
+  /// untouched.
   [[nodiscard]] StreamingState export_state() const;
   void restore_state(StreamingState state);
 
@@ -297,20 +296,18 @@ class StreamingLocalizer {
   [[nodiscard]] std::optional<PendingRound> maybe_prepare(double now_s,
                                                           Rng& rng);
   /// Pops the captures, applies the overload plan, forks the streams,
-  /// and resolves the server variant. Nullopt = shed.
+  /// and resolves the entry stage. Nullopt = shed.
   [[nodiscard]] std::optional<PendingRound> prepare_round(
       const std::vector<std::size_t>& ap_ids, bool deadline_round,
       double now_s, Rng& rng);
-  /// The cached server variant for one fidelity rung. kFull is built at
-  /// construction; the degraded variants are derived lazily from the
-  /// same config with the chain entry stage moved — all of them dispatch
-  /// on the kFull server's pool, so shedding never spawns threads.
-  [[nodiscard]] const SpotFiServer& server_for(ShedLevel level);
 
   LinkConfig link_;
   StreamingConfig config_;
+  /// The one server every round runs on, at whatever entry stage the
+  /// round was prepared with (built once: its pool, when concurrency
+  /// resolves past 1, lives as long as the localizer).
+  SpotFiServer server_;
   std::vector<ApBuffer> buffers_;
-  std::array<std::shared_ptr<const SpotFiServer>, kShedLevelCount> servers_;
   ShedLevel fidelity_ = ShedLevel::kFull;
   RoundPlanner planner_;
   std::size_t shed_rounds_ = 0;

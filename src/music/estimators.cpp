@@ -86,23 +86,17 @@ void JointMusicEstimator::spectrum_values(ConstCMatrixView noise,
   }
 }
 
-AoaTofSpectrum JointMusicEstimator::spectrum_from_subspace(
-    const Subspaces& sub) const {
+AoaTofSpectrum JointMusicEstimator::spectrum(const CMatrix& csi) const {
+  Workspace& ws = thread_workspace();
+  Workspace::Frame frame(ws);
+  const CMatrixView x = stage_smooth(ConstCMatrixView(csi), ws);
+  const SubspacesRef sub = stage_subspace(ConstCMatrixView(x), ws);
   AoaTofSpectrum sp;
   sp.aoa_grid_rad = aoa_axis_->grid;
   sp.tof_grid_s = tof_axis_->grid;
   sp.values = RMatrix(sp.aoa_grid_rad.size(), sp.tof_grid_s.size());
-  spectrum_values(ConstCMatrixView(sub.noise), thread_workspace(),
-                  sp.values.view());
+  spectrum_values(sub.noise, ws, sp.values.view());
   return sp;
-}
-
-AoaTofSpectrum JointMusicEstimator::spectrum(const CMatrix& csi) const {
-  SPOTFI_EXPECTS(csi.rows() == link_.n_antennas &&
-                     csi.cols() == link_.n_subcarriers,
-                 "CSI shape disagrees with the link config");
-  const CMatrix x = smoothed_csi(csi, config_.smoothing);
-  return spectrum_from_subspace(noise_subspace(x, config_.subspace));
 }
 
 CMatrixView JointMusicEstimator::stage_smooth(ConstCMatrixView csi,
@@ -205,7 +199,9 @@ AoaSpectrum MusicAoaEstimator::spectrum(const CMatrix& csi) const {
                         : spatially_smoothed_snapshots(csi, ant_len);
   SubspaceConfig sub_cfg = config_.subspace;
   sub_cfg.max_signal_dims = std::min(sub_cfg.max_signal_dims, ant_len - 1);
-  const Subspaces sub = noise_subspace(x, sub_cfg);
+  Workspace& ws = thread_workspace();
+  Workspace::Frame frame(ws);
+  const SubspacesRef sub = noise_subspace(ConstCMatrixView(x), sub_cfg, ws);
 
   AoaSpectrum sp;
   sp.aoa_grid_rad = aoa_axis_->grid;

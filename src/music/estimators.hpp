@@ -117,8 +117,6 @@ class JointMusicEstimator {
   [[nodiscard]] bool tof_axis_wraps() const { return tof_wraps_; }
 
  private:
-  [[nodiscard]] AoaTofSpectrum spectrum_from_subspace(
-      const Subspaces& sub) const;
   /// Core pseudospectrum sweep shared by both pipelines: reads a noise
   /// basis view, takes its g-table scratch from `ws`, writes into the
   /// caller-provided grid.
@@ -137,8 +135,8 @@ class JointMusicEstimator {
   // estimator safely shareable across threads (all state is immutable
   // after construction). The tables are interned in the process-wide
   // SteeringTableCache, so the thousands of estimators a streaming
-  // deployment constructs (per AP, per round, per session variant)
-  // share one copy instead of recomputing ~80 KiB of trig each.
+  // deployment constructs (per AP, per round, per session) share one
+  // copy instead of recomputing ~80 KiB of trig each.
   std::shared_ptr<const SteeringAxisTable> aoa_axis_;
   std::shared_ptr<const SteeringAxisTable> tof_axis_;
 };

@@ -1,9 +1,9 @@
 // Signal/noise subspace split for MUSIC.
 //
 // Algorithm 2, line 5: "construct E_N whose columns are eigenvectors of
-// X X^H corresponding to eigenvalues smaller than a threshold". We expose
-// the threshold split plus a fixed-dimension variant used by tests and the
-// ArrayTrack baseline.
+// X X^H corresponding to eigenvalues smaller than a threshold". The split
+// runs on a Workspace arena; the threshold rule and the MDL/AIC
+// information criteria choose the signal dimension.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -39,38 +39,23 @@ struct SubspaceConfig {
     std::span<const double> eigenvalues_ascending, std::size_t n_snapshots,
     OrderMethod method = OrderMethod::kMdl);
 
-struct Subspaces {
+/// A signal/noise split whose basis and eigenvalues live in the caller's
+/// Workspace until its enclosing frame closes.
+struct SubspacesRef {
   /// Noise-subspace basis; columns are orthonormal eigenvectors.
-  CMatrix noise;
+  ConstCMatrixView noise;
   /// Estimated number of propagation paths (signal dimensions).
   std::size_t n_signal = 0;
   /// Eigenvalues of the covariance, ascending (diagnostics/tests).
-  RVector eigenvalues;
-};
-
-/// Splits the eigenvectors of covariance = X X^H (X = measurement matrix)
-/// into signal and noise subspaces by eigenvalue threshold.
-[[nodiscard]] Subspaces noise_subspace(const CMatrix& measurement,
-                                       const SubspaceConfig& config = {});
-
-/// Arena variant of Subspaces: the basis and eigenvalues live in the
-/// caller's Workspace until its enclosing frame closes.
-struct SubspacesRef {
-  ConstCMatrixView noise;
-  std::size_t n_signal = 0;
   std::span<const double> eigenvalues;
 };
 
-/// Zero-allocation subspace split: covariance, eigendecomposition, and
-/// the split all run on `ws` scratch; same arithmetic (and bits) as the
-/// value overload. Throws NumericalError when the eigendecomposition
-/// does not converge, like the value overload.
+/// Splits the eigenvectors of covariance = X X^H (X = measurement matrix)
+/// into signal and noise subspaces. Zero-allocation: covariance,
+/// eigendecomposition, and the split all run on `ws` scratch. Throws
+/// NumericalError when the eigendecomposition does not converge.
 [[nodiscard]] SubspacesRef noise_subspace(ConstCMatrixView measurement,
                                           const SubspaceConfig& config,
                                           Workspace& ws);
-
-/// Same split with an explicitly chosen signal dimension.
-[[nodiscard]] Subspaces noise_subspace_fixed(const CMatrix& measurement,
-                                             std::size_t n_signal);
 
 }  // namespace spotfi

@@ -4,6 +4,7 @@
 // against the single-tenant streaming path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -248,6 +249,47 @@ TEST(SessionOverload, BacklogDegradesRoundsAndCountersAccount) {
   EXPECT_LE(stats.queue_high_water, stats.queue_capacity);
 }
 
+TEST(SessionOverload, SheddingNeverRaisesTheConfiguredEntryStage) {
+  // A session configured to enter the fallback chain at ESPRIT: a
+  // backlog that entitles only the coarse (relaxed-MUSIC) rung must not
+  // make its round run the costlier relaxed MUSIC instead.
+  constexpr std::size_t kGroup = 2;
+  Feed feed(kGroup + 1);
+  SessionConfig cfg = base_session(feed, kGroup);
+  cfg.streaming.server.ap.fallback.entry_stage = ApStage::kEsprit;
+  cfg.overload.queue_capacity = 8;  // default rungs: depth >= 4 -> coarse
+  SessionManagerConfig mgr_cfg;
+  mgr_cfg.num_threads = 1;
+  SessionManager manager(kLink, mgr_cfg);
+  const SessionId id = manager.open_session(cfg);
+  const std::size_t n_aps = feed.captures.size();
+  ASSERT_GE(n_aps, 5u);
+
+  // Every AP gets one packet, then every AP but the last its second.
+  for (std::size_t a = 0; a < n_aps; ++a) {
+    ASSERT_TRUE(manager.offer(id, a, feed.captures[a].packets[0]).admitted());
+  }
+  ASSERT_TRUE(manager.pump(id).empty());
+  for (std::size_t a = 0; a + 1 < n_aps; ++a) {
+    ASSERT_TRUE(manager.offer(id, a, feed.captures[a].packets[1]).admitted());
+  }
+  ASSERT_TRUE(manager.pump(id).empty());
+  // The last AP's second packet fires the round with four packets still
+  // queued behind it.
+  ASSERT_TRUE(
+      manager.offer(id, n_aps - 1, feed.captures[n_aps - 1].packets[1])
+          .admitted());
+  for (std::size_t a = 0; a < 4; ++a) {
+    ASSERT_TRUE(manager.offer(id, a, feed.captures[a].packets[2]).admitted());
+  }
+  const std::vector<LocationFix> fixes = manager.pump(id);
+  ASSERT_EQ(fixes.size(), 1u);
+  ASSERT_EQ(fixes.front().round.ap_stages.size(), n_aps);
+  for (const ApStage stage : fixes.front().round.ap_stages) {
+    EXPECT_GE(stage, ApStage::kEsprit) << to_string(stage);
+  }
+}
+
 // --- deadline planning with a fake clock ---
 
 TEST(SessionDeadline, UnaffordableFullFidelityDegradesUpFront) {
@@ -364,6 +406,45 @@ TEST(SessionDeadline, MeasuredOverrunCountsAsMissAndRetrainsTheModel) {
   stats = manager.session_stats(id);
   EXPECT_EQ(stats.deadline_limited_rounds, 1u);
   EXPECT_EQ(stats.rounds_degraded, 1u);
+}
+
+TEST(SessionDeadline, PolledRoundIsAccountedLikeAPumpedOne) {
+  // A quorum round fired by a timer poll (one AP went dead) is planned
+  // against the deadline like any pumped round, and its stats obey the
+  // same contract: deadline-limited, degraded, and in the partition.
+  constexpr std::size_t kGroup = 4;
+  Feed feed(kGroup);
+  SessionConfig cfg = base_session(feed, kGroup);
+  cfg.overload.round_deadline_s = 0.06;
+  cfg.overload.seed_cost_s = {0.2, 0.1, 0.05, 0.01};  // ESPRIT fits
+  FakeClock clock(0.0);
+  SessionManagerConfig mgr_cfg;
+  mgr_cfg.num_threads = 1;
+  mgr_cfg.clock = &clock;
+  SessionManager manager(kLink, mgr_cfg);
+  const SessionId id = manager.open_session(cfg);
+
+  // The last AP never delivers.
+  const std::size_t n_aps = feed.captures.size();
+  double last_t = 0.0;
+  for (std::size_t p = 0; p < kGroup; ++p) {
+    for (std::size_t a = 0; a + 1 < n_aps; ++a) {
+      const CsiPacket& packet = feed.captures[a].packets[p];
+      last_t = std::max(last_t, packet.timestamp_s);
+      ASSERT_TRUE(manager.offer(id, a, packet).admitted());
+      ASSERT_TRUE(manager.pump(id).empty());
+    }
+  }
+  // Past dead_after_s the silent AP stops gating the round.
+  const auto fix = manager.poll(id, last_t + 4.0);
+  ASSERT_TRUE(fix.has_value());
+  EXPECT_EQ(fix->round.fidelity, ShedLevel::kEsprit);
+  const SessionStats stats = manager.session_stats(id);
+  EXPECT_EQ(stats.deadline_limited_rounds, 1u);
+  EXPECT_EQ(stats.rounds_degraded, 1u);
+  EXPECT_EQ(stats.rounds_full, 0u);
+  EXPECT_EQ(stats.fixes + stats.failed_rounds,
+            stats.rounds_full + stats.rounds_degraded);
 }
 
 // --- FakeClock scheduling helpers (the machinery the deadline tests

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/angles.hpp"
 #include "testbed/experiment.hpp"
@@ -13,11 +14,21 @@ namespace {
 
 const LinkConfig kLink = LinkConfig::intel5300_40mhz();
 
-class DeploymentInvariants
-    : public ::testing::TestWithParam<Deployment (*)()> {};
+// A deployment factory with the name it prints under. Test runners name
+// value-parameterized cases by the printed parameter, and a bare function
+// pointer prints as its load address, which changes from run to run.
+struct DeploymentCase {
+  const char* name;
+  Deployment (*make)();
+};
+
+void PrintTo(const DeploymentCase& c, std::ostream* os) { *os << c.name; }
+
+class DeploymentInvariants : public ::testing::TestWithParam<DeploymentCase> {
+};
 
 TEST_P(DeploymentInvariants, GeometryIsWellFormed) {
-  const Deployment d = GetParam()();
+  const Deployment d = GetParam().make();
   EXPECT_FALSE(d.name.empty());
   EXPECT_GE(d.aps.size(), 2u);
   EXPECT_GE(d.targets.size(), 20u);
@@ -56,9 +67,10 @@ TEST_P(DeploymentInvariants, GeometryIsWellFormed) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDeployments, DeploymentInvariants,
-                         ::testing::Values(&office_deployment,
-                                           &high_nlos_deployment,
-                                           &corridor_deployment));
+                         ::testing::Values(
+                             DeploymentCase{"office", &office_deployment},
+                             DeploymentCase{"high_nlos", &high_nlos_deployment},
+                             DeploymentCase{"corridor", &corridor_deployment}));
 
 TEST(Deployment, OfficeMatchesPaperScale) {
   const Deployment d = office_deployment();

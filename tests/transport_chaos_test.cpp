@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "core/session_manager.hpp"
 #include "testbed/deployment.hpp"
 #include "testbed/experiment.hpp"
@@ -352,10 +353,18 @@ TEST(TransportChaos, RacingConnectionsKeepInvariantsUnderThreads) {
     std::atomic<bool> stop{false};
   };
   Connection conns[kConnections];
+  // Both endpoints read one shared wall clock. Per-thread simulated
+  // clocks drift apart without bound when the scheduler starves one
+  // thread, and a skew beyond the reconnect backoff leaves every
+  // ConnectAck answering an epoch the sender has already abandoned, so
+  // the handshake livelocks. A shared clock turns a starved thread into
+  // plain link latency, which the protocol is built to absorb.
+  const MonotonicClock clock;
+  const double t0 = clock.now_s();
   TransportConfig cfg;
   cfg.rto_initial_s = 0.05;
   cfg.heartbeat_interval_s = 0.2;
-  cfg.liveness_timeout_s = 5.0;  // sender/receiver clocks drift freely
+  cfg.liveness_timeout_s = 5.0;  // a starved thread stalls for real time
   for (std::size_t c = 0; c < kConnections; ++c) {
     cfg.seed = 100 + c;
     conns[c].link = std::make_unique<LinkSimulator>(model, 10 + c);
@@ -381,25 +390,22 @@ TEST(TransportChaos, RacingConnectionsKeepInvariantsUnderThreads) {
   for (std::size_t c = 0; c < kConnections; ++c) {
     Connection* conn = &conns[c];
     // Producer: one thread per connection drives send + sender.tick.
-    threads.emplace_back([conn] {
+    threads.emplace_back([conn, &clock, t0] {
       std::uint64_t next = 1;
-      double t = 0.0;
       while (!conn->stop.load(std::memory_order_relaxed)) {
+        const double t = clock.now_s() - t0;
         if (next <= kFrames) {
           CsiPacket p = marked_packet(next);
           if (conn->sender->send(0, p, t).has_value()) ++next;
         }
         conn->sender->tick(t);
-        t += 0.002;
         std::this_thread::yield();
       }
     });
     // Consumer: one thread per connection drives receiver.tick.
-    threads.emplace_back([conn] {
-      double t = 0.0;
+    threads.emplace_back([conn, &clock, t0] {
       while (!conn->stop.load(std::memory_order_relaxed)) {
-        conn->receiver->tick(t);
-        t += 0.002;
+        conn->receiver->tick(clock.now_s() - t0);
         std::this_thread::yield();
       }
     });
