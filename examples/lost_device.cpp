@@ -67,7 +67,13 @@ int main(int argc, char** argv) {
   server_config.localizer.area_min = deployment.area_min;
   server_config.localizer.area_max = deployment.area_max;
   const SpotFiServer server(link, server_config);
-  const LocalizationRound round = server.localize(from_disk, rng);
+  const auto localized = server.try_localize(from_disk, rng);
+  if (!localized) {
+    std::fprintf(stderr, "round failed: %s\n",
+                 localized.error().reason.c_str());
+    return 1;
+  }
+  const LocalizationRound& round = *localized;
 
   std::printf("\n%-4s %-12s %-6s %-12s %-12s %-10s\n", "AP", "position",
               "LoS", "true AoA", "picked AoA", "likelihood");

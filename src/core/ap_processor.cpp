@@ -62,29 +62,6 @@ EstimationPipeline ApProcessor::make_pipeline(
   return EstimationPipeline(stages, config_.pool);
 }
 
-ApResult ApProcessor::process(std::span<const CsiPacket> packets,
-                              Rng& rng) const {
-  SPOTFI_EXPECTS(!packets.empty(), "need at least one packet");
-
-  std::vector<CsiPacket> screened;
-  if (config_.quality) {
-    screened = screen_group(packets, *config_.quality);
-    SPOTFI_EXPECTS(!screened.empty(),
-                   "quality screen rejected every packet in the group");
-    packets = screened;
-  }
-
-  const PacketEstimateStage& estimate =
-      config_.front_end == FrontEnd::kMusic
-          ? static_cast<const PacketEstimateStage&>(music_stage_)
-          : static_cast<const PacketEstimateStage&>(esprit_stage_);
-  const EstimationPipeline pipeline = make_pipeline(estimate);
-  SpanPacketSource source(packets);
-  StageContext ctx;
-  ctx.rng = &rng;
-  return pipeline.run_group(ctx, source, pose_);
-}
-
 std::size_t ApProcessor::max_paths() const {
   return config_.front_end == FrontEnd::kMusic ? config_.music.max_paths
                                                : config_.esprit.max_paths;
@@ -126,11 +103,14 @@ ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
     return out;
   };
 
-  // Screen unconditionally on the robust path: it exists precisely
-  // because input may be corrupt, so a missing quality config means
-  // defaults, not no screening.
-  const QualityConfig quality = config_.quality.value_or(QualityConfig{});
-  const std::vector<CsiPacket> screened = screen_group(packets, quality);
+  // The screen's verdicts live on the calling thread's arena (the one the
+  // pipeline's group-level frame uses too); survivors reach the pipeline
+  // through a filtering source over the caller's span, never copied.
+  Workspace& ws =
+      config_.pool != nullptr ? config_.pool->workspace() : thread_workspace();
+  Workspace::Frame screen_frame(ws);
+  const std::span<bool> keep = ws.take<bool>(packets.size());
+  const std::size_t kept = screen_group(packets, keep, config_.quality);
 
   // One fallback rung = one pipeline run with a substituted estimate
   // stage; the orchestration below only decides WHICH stage runs, never
@@ -139,7 +119,7 @@ ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
     try {
       out.stage_breakdown = StageBreakdown{};
       const EstimationPipeline pipeline = make_pipeline(estimate);
-      SpanPacketSource source(screened);
+      ScreenedPacketSource source(packets, keep);
       StageContext ctx;
       ctx.rng = &rng;
       ctx.breakdown = &out.stage_breakdown;
@@ -176,7 +156,7 @@ ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
     return config_.fallback.enabled;
   };
 
-  if (!screened.empty()) {
+  if (kept > 0) {
     const bool primary_is_music = config_.front_end == FrontEnd::kMusic;
     // Lazily built on first use: the relaxed rung needs its own
     // (coarser-grid) estimator, which most groups never reach.

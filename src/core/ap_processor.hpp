@@ -7,7 +7,6 @@
 // compact ApObservation the central server fuses.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,12 +66,10 @@ struct ApProcessorConfig {
   /// Apply Algorithm 1 before estimation (disable to reproduce the
   /// ablation of Fig. 5's sanitization study).
   bool sanitize = true;
-  /// Screen the packet group (csi/quality.hpp) before processing —
-  /// recommended when feeding real traces; the simulator never produces
-  /// corrupt packets, so it defaults off to keep experiments exact.
-  std::optional<QualityConfig> quality;
-  /// Estimator fallback chain used by process_robust (the throwing
-  /// process() ignores this).
+  /// Group screen (csi/quality.hpp) every group passes before
+  /// estimation; rejected packets never reach the estimator.
+  QualityConfig quality{};
+  /// Estimator fallback chain used by process_robust.
   ApFallbackConfig fallback{};
   /// Non-owning thread pool for the per-packet estimation fan-out
   /// (nullptr = serial). Results are pooled in packet order and the
@@ -83,8 +80,8 @@ struct ApProcessorConfig {
   ThreadPool* pool = nullptr;
 };
 
-/// Exception-free per-AP result: the server's fault-tolerant path calls
-/// process_robust and inspects `stage`/`usable` instead of catching.
+/// Exception-free per-AP result: the server calls process_robust and
+/// inspects `stage`/`usable` instead of catching.
 struct ApOutcome {
   ApResult result;
   ApStage stage = ApStage::kPrimary;
@@ -116,18 +113,13 @@ class ApProcessor {
  public:
   ApProcessor(LinkConfig link, ArrayPose pose, ApProcessorConfig config = {});
 
-  /// Processes one packet group (the paper uses 10-40 packets). Requires
-  /// a non-empty group whose CSI shapes match the link config. Throws on
-  /// corrupt input or estimator non-convergence — use process_robust on
-  /// streaming paths.
-  [[nodiscard]] ApResult process(std::span<const CsiPacket> packets,
-                                 Rng& rng) const;
-
-  /// Fault-tolerant variant: never throws past the chain (beyond
-  /// ContractViolation for an empty group). Tries the configured front end
-  /// first, then — when config().fallback.enabled — retries MUSIC on a
-  /// relaxed grid, falls back to ESPRIT, and finally emits an RSSI-only
-  /// observation; `stage`/`note` record how far it had to degrade.
+  /// Processes one packet group (the paper uses 10-40 packets): screens
+  /// it, then runs the fallback chain from `fallback.entry_stage`. Never
+  /// throws past the chain (beyond ContractViolation for an empty group).
+  /// Tries the configured front end first, then — when
+  /// config().fallback.enabled — retries MUSIC on a relaxed grid, falls
+  /// back to ESPRIT, and finally emits an RSSI-only observation;
+  /// `stage`/`note` record how far it had to degrade.
   [[nodiscard]] ApOutcome process_robust(std::span<const CsiPacket> packets,
                                          Rng& rng) const;
 
@@ -135,7 +127,7 @@ class ApProcessor {
   /// configured front end, every scratch buffer drawn from `ws`
   /// (frame-scoped internally, so the arena is returned unchanged).
   /// Writes at most max_paths() estimates into `out` and returns the
-  /// count. This is the per-packet inner loop of process(); a warmed
+  /// count. This is the per-packet inner loop of process_robust(); a warmed
   /// arena makes it perform zero heap allocations (tests/alloc_test.cpp
   /// pins that contract).
   [[nodiscard]] std::size_t estimate_packet(const CsiPacket& packet,

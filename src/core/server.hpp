@@ -2,13 +2,10 @@
 // groups, runs the per-AP stage on each, and fuses the resulting
 // observations into a location with the likelihood-weighted solver.
 //
-// Two entry points:
-//  * localize()     — the paper-faithful strict path: throws on corrupt
-//                     input or estimator failure (benches/experiments).
-//  * try_localize() — the fault-tolerant path for streaming: per-AP
-//                     estimator fallback chains, leave-one-out outlier-AP
-//                     rejection, and an Expected-style result that carries
-//                     degradation reasons instead of throwing.
+// One round path serves experiments, benches and sessions alike:
+// try_localize runs per-AP estimator fallback chains and (optionally)
+// leave-one-out outlier-AP rejection, and returns an Expected-style
+// result that carries degradation reasons instead of throwing.
 #pragma once
 
 #include <memory>
@@ -29,7 +26,7 @@ struct ApCapture {
   std::vector<CsiPacket> packets;
 };
 
-/// Fusion-stage fault tolerance (try_localize only).
+/// Fusion-stage fault tolerance.
 struct FusionConfig {
   /// Leave-one-out residual check: when one AP's bearing is confidently
   /// wrong (a stable reflection winning Eq. 8, or a mis-surveyed pose),
@@ -38,6 +35,7 @@ struct FusionConfig {
   /// worst with the leave-it-out solution, and repeat on the survivors.
   /// Cost ratios don't work here: the Huber kernel bounds exactly the
   /// residual this check needs to see, so the raw angular miss is used.
+  /// Not part of the paper: the experiment runner turns it off.
   bool loo_rejection = true;
   /// Never reject below this many usable observations (subsets must stay
   /// well-posed, and rejection needs a meaningful consensus).
@@ -74,14 +72,12 @@ struct ServerConfig {
   std::shared_ptr<ThreadPool> shared_pool;
 };
 
-/// Result of one localization round, with per-AP diagnostics. The
-/// degradation fields stay at their defaults on the strict localize()
-/// path; try_localize fills them.
+/// Result of one localization round, with per-AP diagnostics.
 struct LocalizationRound {
   LocationEstimate location;
   std::vector<ApResult> ap_results;
   /// Which fallback stage produced each AP's observation (parallel to
-  /// ap_results; try_localize only).
+  /// ap_results).
   std::vector<ApStage> ap_stages;
   /// Human-readable degradation reasons (empty = clean round).
   std::vector<std::string> notes;
@@ -95,19 +91,19 @@ struct LocalizationRound {
   bool degraded = false;
   /// Round-wide numerical-fallback telemetry: the sum of every AP's
   /// counters plus anything the fusion stage (localizer, LOO solves)
-  /// triggered. try_localize only.
+  /// triggered.
   NumericsCounters numerics;
   /// Scratch-arena footprint of the round: the largest single frame
   /// opened anywhere — max over every AP's
   /// ApOutcome::workspace_peak_bytes and the fusion stage's own frame
-  /// (localizer multi-starts, LOO subset solves). try_localize only.
+  /// (localizer multi-starts, LOO subset solves).
   std::size_t workspace_peak_bytes = 0;
   /// The fidelity this round ran at. kFull outside the session layer;
   /// a shed-degraded round records the ladder rung that produced it
   /// (every AP entered the fallback chain at that rung's stage, or at
   /// the configured entry stage when that one is later).
   ShedLevel fidelity = ShedLevel::kFull;
-  /// Per-stage cost split of the round (try_localize only): every AP's
+  /// Per-stage cost split of the round: every AP's
   /// ApOutcome::stage_breakdown folded in capture order (times sum;
   /// arena peaks take the max, since APs share the lane arenas), plus
   /// the fusion stage's own kLocalize bucket (primary solve + LOO
@@ -126,17 +122,11 @@ class SpotFiServer {
  public:
   SpotFiServer(LinkConfig link, ServerConfig config = {});
 
-  /// Runs Algorithm 2 end-to-end on the captures of one packet group.
-  /// Requires >= 2 APs with non-empty packet groups. Throws on corrupt
-  /// input or estimator non-convergence.
-  [[nodiscard]] LocalizationRound localize(
-      std::span<const ApCapture> captures, Rng& rng) const;
-
-  /// Fault-tolerant variant: every AP runs the process_robust fallback
-  /// chain from the configured `ap.fallback.entry_stage`, unusable APs
-  /// are skipped, an outlier AP may be rejected by leave-one-out
-  /// residuals, and failure is reported as a RoundError instead of an
-  /// exception.
+  /// Runs Algorithm 2 end-to-end on the captures of one packet group:
+  /// every AP runs the process_robust fallback chain from the configured
+  /// `ap.fallback.entry_stage`, unusable APs are skipped, an outlier AP
+  /// may be rejected by leave-one-out residuals, and failure is reported
+  /// as a RoundError instead of an exception.
   [[nodiscard]] Expected<LocalizationRound, RoundError> try_localize(
       std::span<const ApCapture> captures, Rng& rng) const;
 

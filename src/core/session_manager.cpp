@@ -141,6 +141,7 @@ struct SessionManager::Session {
       PendingRound&& pending, double dt) {
     const std::uint64_t failed_before = localizer.failed_rounds();
     const ShedLevel level = pending.level;
+    const bool below_configured = pending.below_configured;
     auto fix = localizer.complete_round(std::move(pending));
     if (fix) {
       fix->durable_round_index =
@@ -149,7 +150,7 @@ struct SessionManager::Session {
     // The round actually ran: fold its measured cost back into the
     // model so the next deadline decision sees it.
     cost.observe(level, dt);
-    if (level == ShedLevel::kFull) {
+    if (!below_configured) {
       rounds_full.fetch_add(1, std::memory_order_relaxed);
     } else {
       rounds_degraded.fetch_add(1, std::memory_order_relaxed);

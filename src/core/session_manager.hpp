@@ -94,9 +94,11 @@ struct SessionStats {
   /// construction — the bounded-memory witness).
   std::size_t queue_high_water = 0;
   std::size_t queue_capacity = 0;
-  /// Rounds that ran at full fidelity.
+  /// Rounds that ran at the session's configured fidelity (including
+  /// rounds shed to a rung no later than its configured entry stage).
   std::uint64_t rounds_full = 0;
-  /// Rounds that ran below full fidelity (occupancy or deadline).
+  /// Rounds that shedding (occupancy or deadline) moved past the
+  /// configured entry stage.
   std::uint64_t rounds_degraded = 0;
   /// Rounds dropped by the planner (deadline unmeetable at any rung).
   std::uint64_t rounds_shed = 0;

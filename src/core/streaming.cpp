@@ -270,8 +270,9 @@ std::optional<PendingRound> StreamingLocalizer::prepare_round(
 
   // Shedding only ever lowers fidelity: a rung entitles at most its own
   // entry stage, never one above the session's configured entry.
-  pending.entry = std::max(config_.server.ap.fallback.entry_stage,
-                           entry_stage_for(pending.level));
+  const ApStage configured = config_.server.ap.fallback.entry_stage;
+  pending.entry = std::max(configured, entry_stage_for(pending.level));
+  pending.below_configured = pending.entry > configured;
 
   // Fork the per-capture streams in capture order, mirroring
   // try_localize exactly: a <2-capture round fails without consuming
@@ -312,9 +313,9 @@ std::optional<LocationFix> StreamingLocalizer::complete_round(
   fix.time_s = pending.latest_t;
   fix.aps_used = pending.ap_ids;
   fix.degraded = pending.deadline_round || fix.round.degraded ||
-                 pending.level != ShedLevel::kFull;
+                 pending.below_configured;
   fix.reasons = fix.round.notes;
-  if (pending.level != ShedLevel::kFull) {
+  if (pending.below_configured) {
     std::string reason = std::string("overload: round ran at ") +
                          to_string(pending.level) + " fidelity";
     if (pending.plan_reason[0] != '\0') {

@@ -96,7 +96,8 @@ struct LocationFix {
   double time_s = 0.0;
   LocalizationRound round;  ///< full per-AP diagnostics
   /// True when the round fired on a quorum deadline, an estimator fell
-  /// back past its primary stage, or an outlier AP was rejected.
+  /// back past its primary stage, an outlier AP was rejected, or
+  /// shedding moved the round past the configured entry stage.
   bool degraded = false;
   /// AP ids whose captures entered this round.
   std::vector<std::size_t> aps_used;
@@ -167,6 +168,11 @@ struct PendingRound {
   /// fidelity) of the configured entry stage and `level`'s rung, so
   /// shedding never raises a session above its configured fidelity.
   ApStage entry = ApStage::kPrimary;
+  /// True when `entry` is later than the configured entry stage: only
+  /// then did shedding change what the round runs, so only then is the
+  /// round degraded by overload (a rung at or above the configured stage
+  /// runs exactly what an unshed round runs).
+  bool below_configured = false;
   const char* plan_reason = "";
   bool deadline_round = false;
   double now_s = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/stats.hpp"
 
@@ -30,28 +31,30 @@ QualityVerdict screen_packet(const CsiPacket& packet,
     if (!std::isfinite(packet.rssi_dbm)) return {false, "non-finite RSSI"};
   }
 
-  std::vector<double> row_power_db;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
   for (std::size_t m = 0; m < packet.csi.rows(); ++m) {
     double p = 0.0;
     for (const auto& v : packet.csi.row(m)) p += std::norm(v);
     if (config.check_dead_antenna && p < config.dead_antenna_floor) {
       return {false, "dead antenna row " + std::to_string(m)};
     }
-    row_power_db.push_back(10.0 * std::log10(std::max(p, 1e-300)));
+    const double p_db = 10.0 * std::log10(std::max(p, 1e-300));
+    lo = std::min(lo, p_db);
+    hi = std::max(hi, p_db);
   }
-  const auto [lo, hi] =
-      std::minmax_element(row_power_db.begin(), row_power_db.end());
-  if (*hi - *lo > config.max_antenna_imbalance_db) {
+  if (hi - lo > config.max_antenna_imbalance_db) {
     return {false, "antenna power imbalance"};
   }
   return {};
 }
 
-std::vector<CsiPacket> screen_group(std::span<const CsiPacket> packets,
-                                    const QualityConfig& config,
-                                    std::vector<std::string>* rejected) {
-  std::vector<CsiPacket> accepted;
-  if (packets.empty()) return accepted;
+std::size_t screen_group(std::span<const CsiPacket> packets,
+                         std::span<bool> accepted, const QualityConfig& config,
+                         std::vector<std::string>* rejected) {
+  SPOTFI_EXPECTS(accepted.size() == packets.size(),
+                 "screen_group needs one verdict slot per packet");
+  if (packets.empty()) return 0;
 
   // Group power reference: median of the per-packet powers.
   std::vector<double> powers;
@@ -59,20 +62,22 @@ std::vector<CsiPacket> screen_group(std::span<const CsiPacket> packets,
   for (const auto& p : packets) powers.push_back(packet_power_db(p));
   const double reference = median(powers);
 
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < packets.size(); ++i) {
     QualityVerdict verdict = screen_packet(packets[i], config);
     if (verdict.ok &&
         std::abs(powers[i] - reference) > config.max_power_jump_db) {
       verdict = {false, "power jump vs group median"};
     }
+    accepted[i] = verdict.ok;
     if (verdict.ok) {
-      accepted.push_back(packets[i]);
+      ++kept;
     } else if (rejected != nullptr) {
       rejected->push_back("packet " + std::to_string(i) + ": " +
                           verdict.reason);
     }
   }
-  return accepted;
+  return kept;
 }
 
 }  // namespace spotfi

@@ -9,7 +9,6 @@
 // be a plausible channel observation.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "channel/csi_synthesis.hpp"
@@ -39,11 +38,14 @@ struct QualityVerdict {
 [[nodiscard]] QualityVerdict screen_packet(const CsiPacket& packet,
                                            const QualityConfig& config = {});
 
-/// Screens a packet group: per-packet checks plus the power-jump check
-/// against the group median. Returns the accepted subset, preserving
-/// order. `rejected` (optional) receives one reason per dropped packet.
-[[nodiscard]] std::vector<CsiPacket> screen_group(
-    std::span<const CsiPacket> packets, const QualityConfig& config = {},
+/// Screens a packet group in place: per-packet checks plus the power-jump
+/// check against the group median. Writes one verdict per packet into
+/// `accepted` (parallel to `packets`, same size) and returns how many
+/// passed; no packet is copied. `rejected` (optional) receives one reason
+/// per dropped packet.
+[[nodiscard]] std::size_t screen_group(
+    std::span<const CsiPacket> packets, std::span<bool> accepted,
+    const QualityConfig& config = {},
     std::vector<std::string>* rejected = nullptr);
 
 }  // namespace spotfi

@@ -193,39 +193,4 @@ HermitianEig eigh(const CMatrix& input) {
   return out;
 }
 
-SymmetricEig eigh(const RMatrix& a) {
-  CMatrix c(a.rows(), a.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j) c(i, j) = cplx(a(i, j), 0.0);
-  HermitianEig he = eigh(c);
-
-  SymmetricEig result;
-  result.eigenvalues = std::move(he.eigenvalues);
-  result.converged = he.converged;
-  result.sweeps = he.sweeps;
-  result.off_diagonal_residual = he.off_diagonal_residual;
-  result.rcond = he.rcond;
-  result.eigenvectors = RMatrix(a.rows(), a.cols());
-  // Eigenvectors of a real symmetric matrix are real up to a unit complex
-  // phase; rotate each column so its largest entry is real before dropping
-  // the imaginary part.
-  for (std::size_t j = 0; j < a.cols(); ++j) {
-    std::size_t imax = 0;
-    double best = -1.0;
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-      const double m = std::abs(he.eigenvectors(i, j));
-      if (m > best) {
-        best = m;
-        imax = i;
-      }
-    }
-    const cplx pivot = he.eigenvectors(imax, j);
-    const cplx rot =
-        std::abs(pivot) > 0.0 ? std::conj(pivot) / std::abs(pivot) : cplx{1.0};
-    for (std::size_t i = 0; i < a.rows(); ++i)
-      result.eigenvectors(i, j) = (he.eigenvectors(i, j) * rot).real();
-  }
-  return result;
-}
-
 }  // namespace spotfi

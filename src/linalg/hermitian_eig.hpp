@@ -69,15 +69,4 @@ struct HermitianEigRef {
 /// the value overload — identical bits in eigenvalues and eigenvectors.
 [[nodiscard]] HermitianEigRef eigh(ConstCMatrixView a, Workspace& ws);
 
-/// Real symmetric convenience wrapper (used by tests and PCA-style code).
-struct SymmetricEig {
-  RVector eigenvalues;
-  RMatrix eigenvectors;
-  bool converged = true;
-  int sweeps = 0;
-  double off_diagonal_residual = 0.0;
-  double rcond = 1.0;
-};
-[[nodiscard]] SymmetricEig eigh(const RMatrix& a);
-
 }  // namespace spotfi

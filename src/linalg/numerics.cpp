@@ -13,9 +13,6 @@ struct NamedCounter {
 };
 
 constexpr NamedCounter kCounters[] = {
-    {"cholesky-regularized", &NumericsCounters::cholesky_regularized},
-    {"lstsq-regularized", &NumericsCounters::lstsq_regularized},
-    {"lstsq-pseudoinverse", &NumericsCounters::lstsq_pseudoinverse},
     {"solve-regularized", &NumericsCounters::solve_regularized},
     {"eigh-nonconverged", &NumericsCounters::eigh_nonconverged},
     {"eig-general-nonconverged", &NumericsCounters::eig_general_nonconverged},

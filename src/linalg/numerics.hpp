@@ -8,10 +8,10 @@
 // super-resolution CSI estimators. Instead of every kernel throwing
 // NumericalError and every caller catching ad hoc, the kernels share:
 //
-//  * NumericsPolicy — a retry ladder (exact -> escalating Tikhonov/jitter
-//    regularization -> pivoted/pseudo-inverse fallback) with scales
-//    expressed *relative* to the input, so the same policy works for
-//    metre-scale geometry and nanosecond-scale ToF systems alike.
+//  * NumericsPolicy — a retry ladder (exact -> escalating diagonal
+//    jitter) with scales expressed *relative* to the input, so the same
+//    policy works for metre-scale geometry and nanosecond-scale ToF
+//    systems alike.
 //  * NumericsCounters — a telemetry struct counting every time a kernel
 //    had to leave the exact path. ApProcessor::process_robust and
 //    SpotFiServer::try_localize surface these in ApOutcome::note /
@@ -38,12 +38,6 @@ struct NumericsPolicy {
   double initial_ridge = 1e-12;
   /// Ridge escalation factor between attempts.
   double ridge_growth = 100.0;
-  /// Let lstsq fall through to a truncated-eigenvalue pseudo-inverse when
-  /// even the ridged normal equations fail.
-  bool allow_pseudoinverse = true;
-  /// Relative eigenvalue cutoff for the pseudo-inverse: eigenvalues below
-  /// `pinv_rcond * lambda_max` are treated as exact zeros.
-  double pinv_rcond = 1e-10;
 
   /// The library-wide default policy.
   [[nodiscard]] static const NumericsPolicy& defaults();
@@ -53,9 +47,6 @@ struct NumericsPolicy {
 /// per mechanism, so a degradation note can name the exact fallback that
 /// saved (or failed to save) a round.
 struct NumericsCounters {
-  std::size_t cholesky_regularized = 0;   ///< SPD solve needed a ridge
-  std::size_t lstsq_regularized = 0;      ///< QR failed; ridged normal eqs
-  std::size_t lstsq_pseudoinverse = 0;    ///< terminal pseudo-inverse used
   std::size_t solve_regularized = 0;      ///< complex LU needed jitter
   std::size_t eigh_nonconverged = 0;      ///< Jacobi hit the sweep limit
   std::size_t eig_general_nonconverged = 0;  ///< QR hit the iteration limit

@@ -44,22 +44,32 @@ class PacketSource {
   [[nodiscard]] virtual std::size_t remaining() const = 0;
 };
 
-/// The common case: a group already materialized as a span.
-class SpanPacketSource final : public PacketSource {
+/// A group screened in place: hands out, in order, the packets of the
+/// caller's span whose `keep` flag is set (csi/quality.hpp's
+/// screen_group verdicts) without copying any of them.
+class ScreenedPacketSource final : public PacketSource {
  public:
-  explicit SpanPacketSource(std::span<const CsiPacket> packets)
-      : packets_(packets) {}
+  ScreenedPacketSource(std::span<const CsiPacket> packets,
+                       std::span<const bool> keep)
+      : packets_(packets), keep_(keep) {
+    SPOTFI_EXPECTS(keep_.size() == packets_.size(),
+                   "one keep flag per packet");
+    for (const bool k : keep_) left_ += k ? 1 : 0;
+  }
 
   [[nodiscard]] const CsiPacket* next() override {
-    return i_ < packets_.size() ? &packets_[i_++] : nullptr;
+    while (i_ < packets_.size() && !keep_[i_]) ++i_;
+    if (i_ == packets_.size()) return nullptr;
+    --left_;
+    return &packets_[i_++];
   }
-  [[nodiscard]] std::size_t remaining() const override {
-    return packets_.size() - i_;
-  }
+  [[nodiscard]] std::size_t remaining() const override { return left_; }
 
  private:
   std::span<const CsiPacket> packets_;
+  std::span<const bool> keep_;
   std::size_t i_ = 0;
+  std::size_t left_ = 0;
 };
 
 /// Composes sanitize -> estimate (per packet, fanned out) -> pool ->

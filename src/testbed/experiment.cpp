@@ -90,7 +90,10 @@ TargetRun ExperimentRunner::run_target(Vec2 target, Rng& rng) const {
   run.ap_truth = ground_truth(target);
 
   const SpotFiServer server(link_, config_.server);
-  run.round = server.localize(run.captures, rng);
+  Expected<LocalizationRound, RoundError> round =
+      server.try_localize(run.captures, rng);
+  if (!round) throw NumericalError("round failed: " + round.error().reason);
+  run.round = std::move(round).value();
   run.error_m = distance(run.round.location.position, target);
   return run;
 }

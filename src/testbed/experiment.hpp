@@ -21,7 +21,12 @@ struct ExperimentConfig {
   double packet_interval_s = 0.1;
   MultipathConfig multipath{};
   ImpairmentConfig impairments{};
-  ServerConfig server{};
+  /// Leave-one-out outlier rejection is off: the paper fuses every AP.
+  ServerConfig server = [] {
+    ServerConfig paper;
+    paper.fusion.loo_rejection = false;
+    return paper;
+  }();
   /// Use only the first `ap_subset` APs (0 = all) — Fig. 9(a)'s density
   /// emulation picks subsets externally via `ap_indices`.
   std::vector<std::size_t> ap_indices;  ///< empty = all APs
@@ -60,7 +65,9 @@ class ExperimentRunner {
   [[nodiscard]] std::vector<ApCapture> simulate_captures(Vec2 target,
                                                          Rng& rng) const;
 
-  /// Full SpotFi pipeline for one target.
+  /// Full SpotFi pipeline for one target (SpotFiServer::try_localize).
+  /// Throws NumericalError carrying the RoundError reason when the round
+  /// produces no location.
   [[nodiscard]] TargetRun run_target(Vec2 target, Rng& rng) const;
 
   /// Runs every deployment target; errors land in the returned runs.

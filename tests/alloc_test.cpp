@@ -122,9 +122,11 @@ TEST(ZeroAlloc, EspritSteadyStatePacketAllocatesNothing) {
 }
 
 TEST(ZeroAlloc, GroupAllocationCountIndependentOfGroupSize) {
-  // process() allocates per *group* (output slots, pooled estimates,
-  // cluster summaries), never per packet: the marginal allocation cost of
-  // 10 extra packets must be zero beyond the linear slot-buffer resize.
+  // process_robust() — the path every served round runs — allocates per
+  // *group* (output slots, pooled estimates, cluster summaries, the
+  // screen's power reference), never per packet: the marginal allocation
+  // cost of 10 extra packets must be zero beyond the linear slot-buffer
+  // resize. Screening copies no packet.
   // Comparing two group sizes with warmed arenas makes that observable
   // without hard-coding the per-group constant.
   const auto group_small = synthesize_group(10);
@@ -133,16 +135,17 @@ TEST(ZeroAlloc, GroupAllocationCountIndependentOfGroupSize) {
   Rng rng(3);
 
   // Warm the calling thread's arena with the larger group.
-  (void)processor.process(group_large, rng);
+  (void)processor.process_robust(group_large, rng);
   thread_workspace().reset();
-  (void)processor.process(group_large, rng);
+  (void)processor.process_robust(group_large, rng);
 
   const std::size_t before_small = allocations();
-  (void)processor.process(group_small, rng);
+  const ApOutcome small = processor.process_robust(group_small, rng);
   const std::size_t count_small = allocations() - before_small;
+  ASSERT_EQ(small.stage, ApStage::kPrimary) << small.note;
 
   const std::size_t before_large = allocations();
-  (void)processor.process(group_large, rng);
+  (void)processor.process_robust(group_large, rng);
   const std::size_t count_large = allocations() - before_large;
 
   // The only size-dependent allocations are the group's slot/pool

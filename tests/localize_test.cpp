@@ -7,6 +7,8 @@
 #include <cmath>
 
 #include "common/angles.hpp"
+#include "common/rng.hpp"
+#include "linalg/hermitian_eig.hpp"
 #include "localize/baselines.hpp"
 #include "localize/gdop.hpp"
 #include "localize/spotfi_localizer.hpp"
@@ -312,6 +314,47 @@ TEST(Gdop, MoreApsReduceError) {
   aps.push_back(ArrayPose{{0.0, 5.0}, -kPi / 2.0});
   const double four = bearing_gdop(aps, {0.0, 0.0}, sigma).drms_m;
   EXPECT_NEAR(four, two / std::sqrt(2.0), 1e-9);
+}
+
+TEST(Gdop, ClosedFormAxesMatchIterativeEigensolver) {
+  // The ellipse axes come from the closed-form eigenvalues of the 2x2
+  // covariance; the general Hermitian eigensolver on the same matrix
+  // must agree to 1e-12 relative over random geometries.
+  Rng rng(31);
+  const double sigma = deg_to_rad(3.0);
+  int checked = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t n_aps = 2 + rng.uniform_index(5);
+    std::vector<ArrayPose> aps;
+    for (std::size_t i = 0; i < n_aps; ++i) {
+      aps.push_back(ArrayPose{{rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0)},
+                              rng.uniform(-kPi, kPi)});
+    }
+    const Vec2 point{rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0)};
+    const auto g = try_bearing_gdop(aps, point, sigma);
+    if (!g) continue;
+    double f00 = 0.0, f01 = 0.0, f11 = 0.0;
+    for (const auto& ap : aps) {
+      const Vec2 los = point - ap.position;
+      const double d = los.norm();
+      if (d < 1e-6) continue;
+      const Vec2 u = (los / d).perp();
+      const double w = 1.0 / ((d * sigma) * (d * sigma));
+      f00 += w * u.x * u.x;
+      f01 += w * u.x * u.y;
+      f11 += w * u.y * u.y;
+    }
+    const double det = f00 * f11 - f01 * f01;
+    const CMatrix cov{{cplx(f11 / det, 0.0), cplx(-f01 / det, 0.0)},
+                      {cplx(-f01 / det, 0.0), cplx(f00 / det, 0.0)}};
+    const HermitianEig eig = eigh(cov);
+    const double minor = std::sqrt(std::max(eig.eigenvalues[0], 0.0));
+    const double major = std::sqrt(std::max(eig.eigenvalues[1], 0.0));
+    EXPECT_NEAR(g->minor_m, minor, 1e-12 * minor) << "trial " << trial;
+    EXPECT_NEAR(g->major_m, major, 1e-12 * major) << "trial " << trial;
+    ++checked;
+  }
+  EXPECT_GT(checked, 400);
 }
 
 TEST(Gdop, DegenerateGeometryThrows) {

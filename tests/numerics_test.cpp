@@ -26,13 +26,13 @@ constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
 TEST(NumericsScope, CountsOnlyWhileActive) {
   EXPECT_FALSE(numerics_scope_active());
-  count_numerics(&NumericsCounters::cholesky_regularized);  // no-op, no scope
+  count_numerics(&NumericsCounters::solve_regularized);  // no-op, no scope
   {
     NumericsScope scope;
     EXPECT_TRUE(numerics_scope_active());
-    count_numerics(&NumericsCounters::cholesky_regularized);
+    count_numerics(&NumericsCounters::solve_regularized);
     count_numerics(&NumericsCounters::gdop_degenerate, 3);
-    EXPECT_EQ(scope.counters().cholesky_regularized, 1u);
+    EXPECT_EQ(scope.counters().solve_regularized, 1u);
     EXPECT_EQ(scope.counters().gdop_degenerate, 3u);
     EXPECT_EQ(scope.counters().total(), 4u);
     EXPECT_TRUE(scope.counters().any());
@@ -42,86 +42,39 @@ TEST(NumericsScope, CountsOnlyWhileActive) {
 
 TEST(NumericsScope, NestedScopesFoldIntoParent) {
   NumericsScope outer;
-  count_numerics(&NumericsCounters::lstsq_regularized);
+  count_numerics(&NumericsCounters::solve_regularized);
   {
     NumericsScope inner;
-    count_numerics(&NumericsCounters::lstsq_regularized);
+    count_numerics(&NumericsCounters::solve_regularized);
     count_numerics(&NumericsCounters::eigh_nonconverged);
     // While the inner scope is active, events land there, not in outer.
-    EXPECT_EQ(inner.counters().lstsq_regularized, 1u);
-    EXPECT_EQ(outer.counters().lstsq_regularized, 1u);
+    EXPECT_EQ(inner.counters().solve_regularized, 1u);
+    EXPECT_EQ(outer.counters().solve_regularized, 1u);
   }
   // Destruction folded the inner tallies into the outer scope.
-  EXPECT_EQ(outer.counters().lstsq_regularized, 2u);
+  EXPECT_EQ(outer.counters().solve_regularized, 2u);
   EXPECT_EQ(outer.counters().eigh_nonconverged, 1u);
 }
 
 TEST(NumericsCounters, SummaryNamesOnlyNonZero) {
   NumericsCounters c;
   EXPECT_EQ(c.summary(), "");
-  c.cholesky_regularized = 2;
+  c.solve_regularized = 2;
   c.gmm_variance_floored = 1;
   const std::string s = c.summary();
-  EXPECT_NE(s.find("cholesky-regularized=2"), std::string::npos);
+  EXPECT_NE(s.find("solve-regularized=2"), std::string::npos);
   EXPECT_NE(s.find("gmm-variance-floored=1"), std::string::npos);
-  EXPECT_EQ(s.find("lstsq"), std::string::npos);
+  EXPECT_EQ(s.find("eigh"), std::string::npos);
 }
 
-// --- cholesky / solve ladders ---
-
-TEST(RetryLadder, CholeskyRecoversSingularPsdMatrix) {
-  // Rank-1 PSD: strictly not positive definite, so the exact factorization
-  // fails and the ladder must step in.
-  const RMatrix a{{1.0, 2.0}, {2.0, 4.0}};
-  EXPECT_THROW((void)cholesky(a), NumericalError);
-
-  NumericsScope scope;
-  const RegularizedCholesky rc = cholesky(a, NumericsPolicy::defaults());
-  EXPECT_GT(rc.ridge, 0.0);
-  EXPECT_GE(rc.attempts, 1);
-  EXPECT_GE(scope.counters().cholesky_regularized, 1u);
-  // The factor reproduces the damped matrix: L L^T = A + ridge I.
-  for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t j = 0; j < 2; ++j) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < 2; ++k) s += rc.l(i, k) * rc.l(j, k);
-      const double expected = a(i, j) + (i == j ? rc.ridge : 0.0);
-      EXPECT_NEAR(s, expected, 1e-9 * (1.0 + std::abs(expected)));
-    }
-  }
-}
-
-TEST(RetryLadder, CholeskyRejectsNonFiniteInput) {
-  RMatrix a{{1.0, 0.0}, {0.0, 1.0}};
-  a(0, 1) = kNan;
-  EXPECT_THROW((void)cholesky(a, NumericsPolicy::defaults()), NumericalError);
-}
+// --- solve ladders ---
 
 TEST(RetryLadder, StrictCholeskyCatchesNanPivot) {
   // A NaN on the diagonal must fail the factorization, not propagate.
   RMatrix a{{1.0, 0.0}, {0.0, 1.0}};
   a(1, 1) = kNan;
-  EXPECT_THROW((void)cholesky(a), NumericalError);
-}
-
-TEST(RetryLadder, LstsqRecoversRankDeficientSystem) {
-  // Columns are exact multiples: rank 1, so strict QR refuses.
-  const RMatrix a{{1.0, 2.0}, {2.0, 4.0}, {3.0, 6.0}};
-  const RVector b{1.0, 2.0, 3.0};
-  EXPECT_THROW((void)lstsq(a, b), NumericalError);
-
-  NumericsScope scope;
-  const RVector x = lstsq(a, b, NumericsPolicy::defaults());
-  EXPECT_GE(scope.counters().lstsq_regularized +
-                scope.counters().lstsq_pseudoinverse,
-            1u);
-  // b lies in the column space, so the regularized solution must still
-  // reproduce it: A x ~= b.
-  for (std::size_t i = 0; i < 3; ++i) {
-    double ax = 0.0;
-    for (std::size_t j = 0; j < 2; ++j) ax += a(i, j) * x[j];
-    EXPECT_NEAR(ax, b[i], 1e-5);
-  }
+  const RVector b{1.0, 1.0};
+  EXPECT_THROW((void)solve_spd(a, b), NumericalError);
 }
 
 TEST(RetryLadder, SolveComplexRegularizesSingularMatrix) {

@@ -262,7 +262,7 @@ struct RoundPair {
   LocalizationRound parallel;
 };
 
-RoundPair run_round_both_ways(bool robust, bool poison_one_ap) {
+RoundPair run_round_both_ways(bool poison_one_ap) {
   unsetenv("SPOTFI_THREADS");
   const LinkConfig link = LinkConfig::intel5300_40mhz();
   ExperimentConfig exp_cfg;
@@ -281,18 +281,12 @@ RoundPair run_round_both_ways(bool robust, bool poison_one_ap) {
     const SpotFiServer server(link, cfg);
     EXPECT_EQ(server.num_threads(), threads);
     Rng rng(99);
-    LocalizationRound round;
-    if (robust) {
-      auto result = server.try_localize(captures, rng);
-      if (!result.has_value()) {
-        ADD_FAILURE() << result.error().reason;
-        return pair;
-      }
-      round = std::move(result.value());
-    } else {
-      round = server.localize(captures, rng);
+    auto result = server.try_localize(captures, rng);
+    if (!result.has_value()) {
+      ADD_FAILURE() << result.error().reason;
+      return pair;
     }
-    (threads == 1 ? pair.serial : pair.parallel) = std::move(round);
+    (threads == 1 ? pair.serial : pair.parallel) = std::move(result).value();
   }
   return pair;
 }
@@ -322,23 +316,15 @@ void expect_rounds_identical(const LocalizationRound& a,
   EXPECT_EQ(a.numerics.total(), b.numerics.total());
 }
 
-TEST(ParallelDeterminism, StrictLocalizeIdenticalAcrossThreadCounts) {
-  const RoundPair pair = run_round_both_ways(/*robust=*/false,
-                                             /*poison_one_ap=*/false);
-  expect_rounds_identical(pair.serial, pair.parallel);
-}
-
 TEST(ParallelDeterminism, RobustRoundIdenticalAcrossThreadCounts) {
-  const RoundPair pair = run_round_both_ways(/*robust=*/true,
-                                             /*poison_one_ap=*/false);
+  const RoundPair pair = run_round_both_ways(/*poison_one_ap=*/false);
   expect_rounds_identical(pair.serial, pair.parallel);
 }
 
 TEST(ParallelDeterminism, DegradedRoundIdenticalAcrossThreadCounts) {
   // An empty capture forces a degradation note and an AP-stage fold —
   // the bookkeeping must also be thread-count invariant.
-  const RoundPair pair = run_round_both_ways(/*robust=*/true,
-                                             /*poison_one_ap=*/true);
+  const RoundPair pair = run_round_both_ways(/*poison_one_ap=*/true);
   EXPECT_TRUE(pair.serial.degraded);
   expect_rounds_identical(pair.serial, pair.parallel);
 }
@@ -363,7 +349,7 @@ TEST(ParallelDeterminism, CallerRngAdvancesIdentically) {
     cfg.localizer.area_max = runner.deployment().area_max;
     const SpotFiServer server(link, cfg);
     Rng rng(42);
-    (void)server.localize(captures, rng);
+    ASSERT_TRUE(server.try_localize(captures, rng).has_value());
     next_draw.push_back(rng());
   }
   ASSERT_EQ(next_draw.size(), 2u);

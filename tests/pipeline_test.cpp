@@ -168,19 +168,6 @@ TEST(StageTelemetry, RobustRoundCarriesAStageBreakdown) {
   EXPECT_EQ(round.ap_results.size(), captures.size());
 }
 
-TEST(StageTelemetry, MeteringIsOptInAndOffByDefaultOnTheStrictPath) {
-  const auto captures = office_captures(2);
-  ApProcessorConfig cfg;
-  const ApProcessor processor(kLink, captures[0].pose, cfg);
-  Rng rng(5);
-  // The strict path passes no breakdown sink; StageMeter must stay
-  // no-op (ApResult carries no breakdown; nothing to check beyond "it
-  // runs" — the real assertion is the zero-clock-read contract, pinned
-  // by the alloc/perf suites).
-  const ApResult result = processor.process(captures[0].packets, rng);
-  EXPECT_TRUE(result.observation.has_aoa);
-}
-
 // --- steering-table interning across estimator constructions -----------
 
 TEST(SteeringCache, IdenticalEstimatorsShareOneTable) {

@@ -249,10 +249,16 @@ TEST(SessionOverload, BacklogDegradesRoundsAndCountersAccount) {
   EXPECT_LE(stats.queue_high_water, stats.queue_capacity);
 }
 
-TEST(SessionOverload, SheddingNeverRaisesTheConfiguredEntryStage) {
-  // A session configured to enter the fallback chain at ESPRIT: a
-  // backlog that entitles only the coarse (relaxed-MUSIC) rung must not
-  // make its round run the costlier relaxed MUSIC instead.
+/// A session configured to enter the fallback chain at ESPRIT whose one
+/// round fires with a backlog that entitles only the coarse (relaxed-
+/// MUSIC) rung. Returns that round's fixes and the session's stats.
+struct CoarseBacklogRound {
+  std::vector<LocationFix> fixes;
+  SessionStats stats;
+  std::size_t n_aps = 0;
+};
+
+CoarseBacklogRound run_coarse_backlog_round_at_esprit() {
   constexpr std::size_t kGroup = 2;
   Feed feed(kGroup + 1);
   SessionConfig cfg = base_session(feed, kGroup);
@@ -262,32 +268,55 @@ TEST(SessionOverload, SheddingNeverRaisesTheConfiguredEntryStage) {
   mgr_cfg.num_threads = 1;
   SessionManager manager(kLink, mgr_cfg);
   const SessionId id = manager.open_session(cfg);
-  const std::size_t n_aps = feed.captures.size();
-  ASSERT_GE(n_aps, 5u);
+  CoarseBacklogRound out;
+  out.n_aps = feed.captures.size();
+  const std::size_t n_aps = out.n_aps;
+  EXPECT_GE(n_aps, 5u);
 
   // Every AP gets one packet, then every AP but the last its second.
   for (std::size_t a = 0; a < n_aps; ++a) {
-    ASSERT_TRUE(manager.offer(id, a, feed.captures[a].packets[0]).admitted());
+    EXPECT_TRUE(manager.offer(id, a, feed.captures[a].packets[0]).admitted());
   }
-  ASSERT_TRUE(manager.pump(id).empty());
+  EXPECT_TRUE(manager.pump(id).empty());
   for (std::size_t a = 0; a + 1 < n_aps; ++a) {
-    ASSERT_TRUE(manager.offer(id, a, feed.captures[a].packets[1]).admitted());
+    EXPECT_TRUE(manager.offer(id, a, feed.captures[a].packets[1]).admitted());
   }
-  ASSERT_TRUE(manager.pump(id).empty());
+  EXPECT_TRUE(manager.pump(id).empty());
   // The last AP's second packet fires the round with four packets still
   // queued behind it.
-  ASSERT_TRUE(
+  EXPECT_TRUE(
       manager.offer(id, n_aps - 1, feed.captures[n_aps - 1].packets[1])
           .admitted());
   for (std::size_t a = 0; a < 4; ++a) {
-    ASSERT_TRUE(manager.offer(id, a, feed.captures[a].packets[2]).admitted());
+    EXPECT_TRUE(manager.offer(id, a, feed.captures[a].packets[2]).admitted());
   }
-  const std::vector<LocationFix> fixes = manager.pump(id);
-  ASSERT_EQ(fixes.size(), 1u);
-  ASSERT_EQ(fixes.front().round.ap_stages.size(), n_aps);
-  for (const ApStage stage : fixes.front().round.ap_stages) {
+  out.fixes = manager.pump(id);
+  out.stats = manager.session_stats(id);
+  return out;
+}
+
+TEST(SessionOverload, SheddingNeverRaisesTheConfiguredEntryStage) {
+  // The coarse rung must not make an ESPRIT session's round run the
+  // costlier relaxed MUSIC instead.
+  const CoarseBacklogRound run = run_coarse_backlog_round_at_esprit();
+  ASSERT_EQ(run.fixes.size(), 1u);
+  ASSERT_EQ(run.fixes.front().round.ap_stages.size(), run.n_aps);
+  for (const ApStage stage : run.fixes.front().round.ap_stages) {
     EXPECT_GE(stage, ApStage::kEsprit) << to_string(stage);
   }
+}
+
+TEST(SessionOverload, ShedRungAtOrAboveConfiguredEntryIsNotDegraded) {
+  // The round runs exactly what an unshed round of this session runs, so
+  // it is accounted as a full round and carries no overload reason.
+  const CoarseBacklogRound run = run_coarse_backlog_round_at_esprit();
+  ASSERT_EQ(run.fixes.size(), 1u);
+  EXPECT_EQ(run.fixes.front().round.fidelity, ShedLevel::kCoarse);
+  for (const std::string& reason : run.fixes.front().reasons) {
+    EXPECT_EQ(reason.find("overload"), std::string::npos) << reason;
+  }
+  EXPECT_EQ(run.stats.rounds_full, 1u);
+  EXPECT_EQ(run.stats.rounds_degraded, 0u);
 }
 
 // --- deadline planning with a fake clock ---

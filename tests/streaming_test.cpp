@@ -87,8 +87,9 @@ TEST(Quality, GroupScreenDropsPowerJump) {
   // One clipped packet: +40 dB power.
   for (auto& v : group[3].csi.flat()) v *= 100.0;
   std::vector<std::string> rejected;
-  const auto accepted = screen_group(group, {}, &rejected);
-  EXPECT_EQ(accepted.size(), 7u);
+  bool accepted[8];
+  EXPECT_EQ(screen_group(group, accepted, {}, &rejected), 7u);
+  EXPECT_FALSE(accepted[3]);
   ASSERT_EQ(rejected.size(), 1u);
   EXPECT_NE(rejected[0].find("packet 3"), std::string::npos);
   EXPECT_NE(rejected[0].find("power jump"), std::string::npos);
@@ -98,8 +99,10 @@ TEST(Quality, GroupScreenKeepsCleanGroup) {
   Rng rng(7);
   std::vector<CsiPacket> group;
   for (int i = 0; i < 6; ++i) group.push_back(good_packet(rng, 0.1 * i));
-  EXPECT_EQ(screen_group(group).size(), 6u);
-  EXPECT_TRUE(screen_group({}).empty());
+  bool accepted[6];
+  EXPECT_EQ(screen_group(group, accepted), 6u);
+  for (const bool ok : accepted) EXPECT_TRUE(ok);
+  EXPECT_EQ(screen_group({}, {}), 0u);
 }
 
 TEST(Quality, ChecksCanBeDisabled) {
@@ -120,12 +123,13 @@ TEST(Quality, SinglePacketGroupIsItsOwnMedian) {
   // clean packet must survive.
   Rng rng(41);
   std::vector<CsiPacket> group{good_packet(rng)};
-  EXPECT_EQ(screen_group(group).size(), 1u);
+  bool accepted[1];
+  EXPECT_EQ(screen_group(group, accepted), 1u);
 
   // Even a clipped single packet survives the jump check (no reference
   // to compare against) as long as the per-packet checks pass.
   for (auto& v : group[0].csi.flat()) v *= 100.0;
-  EXPECT_EQ(screen_group(group).size(), 1u);
+  EXPECT_EQ(screen_group(group, accepted), 1u);
 }
 
 TEST(Quality, AllPacketsRejectedGroup) {
@@ -137,7 +141,8 @@ TEST(Quality, AllPacketsRejectedGroup) {
     group.push_back(packet);
   }
   std::vector<std::string> rejected;
-  EXPECT_TRUE(screen_group(group, {}, &rejected).empty());
+  bool accepted[4];
+  EXPECT_EQ(screen_group(group, accepted, {}, &rejected), 0u);
   EXPECT_EQ(rejected.size(), 4u);
 }
 
@@ -183,21 +188,24 @@ TEST(Quality, DeadAntennaFloorBoundary) {
 }
 
 TEST(Quality, ApProcessorScreensWhenConfigured) {
-  // A group with one NaN packet: with screening on, processing succeeds
-  // on the clean subset; a fully corrupt group throws.
+  // A group with one NaN packet: the screen drops it and the primary
+  // estimator runs on the clean subset; a fully corrupt group never
+  // reaches an estimator and falls through to RSSI-only.
   Rng rng(9);
   std::vector<CsiPacket> group;
   for (int i = 0; i < 8; ++i) group.push_back(good_packet(rng, 0.1 * i));
   group[2].csi(0, 0) = cplx(std::numeric_limits<double>::quiet_NaN(), 0.0);
 
-  ApProcessorConfig cfg;
-  cfg.quality = QualityConfig{};
-  const ApProcessor processor(kLink, ArrayPose{{0.0, 0.0}, 0.3}, cfg);
-  const ApResult result = processor.process(group, rng);
-  EXPECT_FALSE(result.clusters.empty());
+  const ApProcessor processor(kLink, ArrayPose{{0.0, 0.0}, 0.3});
+  const ApOutcome outcome = processor.process_robust(group, rng);
+  ASSERT_EQ(outcome.stage, ApStage::kPrimary) << outcome.note;
+  EXPECT_FALSE(outcome.result.clusters.empty());
 
   std::vector<CsiPacket> all_bad(3, group[2]);
-  EXPECT_THROW(processor.process(all_bad, rng), ContractViolation);
+  const ApOutcome bad = processor.process_robust(all_bad, rng);
+  EXPECT_EQ(bad.stage, ApStage::kRssiOnly);
+  EXPECT_NE(bad.note.find("quality screen rejected every packet"),
+            std::string::npos);
 }
 
 // --- streaming server ---
